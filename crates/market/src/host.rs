@@ -1,19 +1,19 @@
 //! The host state machine: the restartable world state of a serving (or
 //! replaying) process.
 //!
-//! A [`Host`] owns everything a serving process mutates — the market
+//! A [`Host`] owns everything a served day mutates — the market
 //! simulator (lock state + scratch), the revenue ledger, the day clock,
 //! and the configured solver — against a borrowed, immutable
 //! [`CoverageModel`]. It lives in the market crate (not the serving
-//! layer) because it is the *logical* state machine: `mroam-serve` runs
-//! it behind a single-writer command loop, and `mroam-wal` replays the
-//! same transitions from a write-ahead log — both must step through
-//! identical code for recovery to be bit-identical.
+//! layer) because it is the *logical* day transition. The serving
+//! world (`mroam_wal::ReplayWorld`) carries a [`HostSeed`] between
+//! records and builds one host per day record — [`Host::resume`], then
+//! [`Host::run_day`], then [`Host::into_seed`] — so the live leader,
+//! crash recovery and followers all step through this one code path.
 
 use crate::{DayOutcome, Ledger, LockState, MarketConfig, MarketSim, Proposal};
 use mroam_core::shard::{ShardReport, ShardSpec};
 use mroam_core::solver::{Solver, SolverSpec};
-use mroam_data::BillboardId;
 use mroam_influence::CoverageModel;
 
 /// Host-level configuration: the regret model's γ and the solver to run
@@ -140,6 +140,16 @@ impl<'a> Host<'a> {
         }
     }
 
+    /// Consumes the host into its restartable state, moving locks and
+    /// ledger out instead of cloning them (pairs with [`Host::resume`]).
+    pub fn into_seed(self) -> HostSeed {
+        HostSeed {
+            day: self.day,
+            lock: self.sim.into_lock_state(),
+            ledger: self.ledger,
+        }
+    }
+
     /// Solves one batch of proposals as the next market day: releases
     /// expired contracts, solves one MROAM instance over the free
     /// inventory, locks the deployments, books the ledger record, and
@@ -158,21 +168,6 @@ impl<'a> Host<'a> {
         self.ledger.days.push(outcome.record);
         self.day += 1;
         outcome
-    }
-
-    /// Influence `I(S)` of a billboard set (full-model ids). `None` when
-    /// any id is out of range.
-    pub fn query_coverage(&self, billboards: &[u32]) -> Option<u64> {
-        if billboards
-            .iter()
-            .any(|&b| b as usize >= self.model.n_billboards())
-        {
-            return None;
-        }
-        Some(
-            self.model
-                .set_influence(billboards.iter().map(|&b| BillboardId(b))),
-        )
     }
 }
 
@@ -242,6 +237,18 @@ mod tests {
     }
 
     #[test]
+    fn into_seed_moves_out_what_seed_copies() {
+        let model = disjoint_model(&[9, 8, 7, 6, 5, 4]);
+        let g = generator(model.supply());
+        let mut host = Host::new(&model, HostConfig::default());
+        for day in 0..5 {
+            host.run_day(&g.day_batch(day));
+        }
+        let copied = host.seed();
+        assert_eq!(host.into_seed(), copied);
+    }
+
+    #[test]
     fn empty_run_day_advances_the_clock_and_releases_locks() {
         let model = disjoint_model(&[10, 10]);
         let mut host = Host::new(&model, HostConfig::default());
@@ -258,15 +265,5 @@ mod tests {
         assert_eq!(out.record.arrived, 0);
         assert_eq!(host.day(), 2);
         assert!(host.locked_count() < locked, "day-1 contract must expire");
-    }
-
-    #[test]
-    fn query_coverage_validates_ids() {
-        let model = disjoint_model(&[4, 3]);
-        let host = Host::new(&model, HostConfig::default());
-        assert_eq!(host.query_coverage(&[0]), Some(4));
-        assert_eq!(host.query_coverage(&[0, 1]), Some(7));
-        assert_eq!(host.query_coverage(&[]), Some(0));
-        assert_eq!(host.query_coverage(&[9]), None);
     }
 }

@@ -38,7 +38,7 @@ impl LockState {
     }
 
     /// Grows the state to an inventory of `n_billboards` (new billboards
-    /// start free). The streaming layer calls this when an epoch swap
+    /// start free). The serving world calls this when a compaction
     /// added inventory; existing locks — including on retired billboards,
     /// whose contracts run to expiry — are untouched. Panics if asked to
     /// shrink: billboard ids are never reissued.
@@ -151,6 +151,14 @@ impl<'a> MarketSim<'a> {
     pub fn lock_state(&self) -> LockState {
         LockState {
             locked_until: self.locked_until.clone(),
+        }
+    }
+
+    /// Consumes the simulator into its lock state without copying it —
+    /// what a host hands back when its world moves on to the next record.
+    pub fn into_lock_state(self) -> LockState {
+        LockState {
+            locked_until: self.locked_until,
         }
     }
 

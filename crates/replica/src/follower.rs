@@ -4,11 +4,9 @@
 //! answering from the replicated [`ReplayWorld`] at whatever
 //! `applied_seq` the tailer has reached:
 //!
-//! * `query_coverage` mirrors the leader's paths exactly — a streaming
-//!   world answers from the engine's merged base+overlay view with
-//!   `free_total` from the serving base's lock state, a static world
-//!   from the model — so a follower at the leader's seq returns
-//!   bit-identical bytes;
+//! * `query_coverage` is [`ReplayWorld::query_coverage`], the very
+//!   method the leader answers with, so a follower at the leader's seq
+//!   returns bit-identical bytes;
 //! * `stats` reports the follower-side `repl_*` fields (`applied_seq`,
 //!   reconnects, snapshots received, catch-up time, the leader's
 //!   durable horizon) alongside the replicated market state;
@@ -22,7 +20,6 @@
 //! lock (reads only; the tailer is the sole writer).
 
 use crate::tailer::{FollowerState, SharedState, Tailer};
-use mroam_data::BillboardId;
 use mroam_serve::frame::{read_frame, write_frame};
 use mroam_serve::protocol::{Request, Response, StatsReport};
 use mroam_wal::ReplayWorld;
@@ -207,7 +204,7 @@ fn answer(req: Request, state: &SharedState, leader: &str, started: Instant) -> 
             let st = state.lock().expect("follower state");
             match st.world() {
                 None => not_caught_up(id),
-                Some(world) => query_coverage(id, &billboards, world),
+                Some(world) => Response::coverage(id, world.query_coverage(&billboards)),
             }
         }
         Request::Stats { id } => {
@@ -251,50 +248,6 @@ fn not_caught_up(id: u64) -> Response {
     }
 }
 
-/// Mirrors the leader's `query_coverage` dispatch exactly (streaming:
-/// engine's merged view + base lock inventory; static: the model), so
-/// answers at matching seqs are byte-identical.
-fn query_coverage(id: u64, billboards: &[u32], world: &ReplayWorld) -> Response {
-    let free_total = world.serving_model().n_billboards() - world.lock().locked_count();
-    match world.engine() {
-        Some(engine) => {
-            if billboards
-                .iter()
-                .any(|&b| b as usize >= engine.n_billboards())
-            {
-                Response::Error {
-                    id,
-                    message: "billboard id out of range".into(),
-                }
-            } else {
-                Response::Coverage {
-                    id,
-                    influence: engine.set_influence(billboards),
-                    free_total,
-                }
-            }
-        }
-        None => {
-            let model = world.serving_model();
-            if billboards
-                .iter()
-                .any(|&b| b as usize >= model.n_billboards())
-            {
-                Response::Error {
-                    id,
-                    message: "billboard id out of range".into(),
-                }
-            } else {
-                Response::Coverage {
-                    id,
-                    influence: model.set_influence(billboards.iter().map(|&b| BillboardId(b))),
-                    free_total,
-                }
-            }
-        }
-    }
-}
-
 /// The follower's `stats` view: replicated market state plus the
 /// follower-side `repl_*` fields; leader-side fields read zero.
 fn stats_report(st: &FollowerState, started: Instant) -> StatsReport {
@@ -308,10 +261,9 @@ fn stats_report(st: &FollowerState, started: Instant) -> StatsReport {
         ..StatsReport::default()
     };
     if let Some(world) = st.world() {
-        let locked = world.lock().locked_count();
         report.day = u64::from(world.day());
-        report.locked = locked;
-        report.free = world.serving_model().n_billboards() - locked;
+        report.locked = world.lock().locked_count();
+        report.free = world.free_count();
         report.collected = world.ledger().total_collected();
         report.regret = world.ledger().total_regret();
         report.snapshot_epoch = world.epoch();

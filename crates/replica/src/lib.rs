@@ -8,9 +8,10 @@
 //!   one feed connection (`hello{watermark}`), restores a shipped
 //!   snapshot when it has no world or fell behind the leader's pruning
 //!   horizon, CRC-verifies every shipped frame, and applies records in
-//!   seq order through the *same* [`mroam_wal::ReplayWorld`] state
-//!   machine recovery uses — so a follower at `applied_seq` is
-//!   bit-identical to the leader when its log head was that seq. The
+//!   seq order through [`mroam_wal::ReplayWorld::apply`] — the one
+//!   state machine the leader itself and recovery mutate through — so
+//!   a follower at `applied_seq` is bit-identical to the leader when
+//!   its log head was that seq. The
 //!   [`tailer::Tailer`] loop adds reconnect-with-watermark and backoff.
 //! * [`follower`] — the read-only serving half: a TCP listener speaking
 //!   the leader's JSON protocol, answering `query_coverage`, `stats`,

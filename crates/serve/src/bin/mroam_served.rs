@@ -50,12 +50,11 @@ use mroam_experiments::cache;
 use mroam_experiments::setup::{build_city, CityKind};
 use mroam_serve::batch::BatchPolicy;
 use mroam_serve::host::HostConfig;
-use mroam_serve::server::{spawn, spawn_streaming, ServeConfig, ServerHandle, WalConfig};
+use mroam_serve::server::{spawn_world, ServeConfig, WalConfig};
 use mroam_serve::snapshot;
 use mroam_serve::ReplicationConfig;
 use mroam_stream::StreamEngine;
-use mroam_wal::{ReplayedState, SyncPolicy};
-use std::io;
+use mroam_wal::{ReplayWorld, SyncPolicy};
 use std::path::PathBuf;
 use std::process::exit;
 use std::sync::Arc;
@@ -108,7 +107,9 @@ fn main() {
             .unwrap_or(false)
     });
 
-    let handle: io::Result<ServerHandle> = if let Some(wc) = recoverable {
+    // Every path below builds the world to serve; the world alone owns
+    // the host configuration from then on.
+    let world = if let Some(wc) = recoverable {
         let (world, report) = mroam_wal::recover(&wc.dir).unwrap_or_else(|e| {
             eprintln!("wal recovery failed in {:?}: {e}", wc.dir);
             exit(2);
@@ -128,27 +129,13 @@ fn main() {
         for (seq, reason) in &report.skipped_snapshots {
             eprintln!("wal recovery: skipped snapshot {seq}: {reason}");
         }
-        let (host, seed, state) = world.into_parts();
-        let config = ServeConfig {
-            host,
-            batch,
-            ingest_queue,
-            wal: wal.clone(),
-            replication: replication.clone(),
-        };
-        match state {
-            ReplayedState::Static(m) => {
-                let model = Arc::try_unwrap(m).unwrap_or_else(|a| (*a).clone());
-                spawn(model, Some(seed), config, &addr)
-            }
-            ReplayedState::Streaming(engine) => spawn_streaming(*engine, Some(seed), config, &addr),
-        }
+        world
     } else if let Some(path) = args.get("restore") {
         let text = std::fs::read_to_string(path).unwrap_or_else(|e| {
             eprintln!("cannot read snapshot {path:?}: {e}");
             exit(2);
         });
-        let restored = snapshot::decode(&text).unwrap_or_else(|e| {
+        let mut restored = snapshot::decode(&text).unwrap_or_else(|e| {
             eprintln!("cannot restore snapshot {path:?}: {e}");
             exit(2);
         });
@@ -158,24 +145,15 @@ fn main() {
             restored.model.n_billboards(),
             restored.seed.lock.locked_count()
         );
-        let config = ServeConfig {
-            host: restored.config,
-            batch,
-            ingest_queue,
-            wal: wal.clone(),
-            replication: replication.clone(),
-        };
-        match restored.stream {
-            Some(stream) if !want_static => {
-                eprintln!(
-                    "streaming restored at epoch {} ({} compactions)",
-                    stream.epoch, stream.compactions
-                );
-                let engine = stream.into_engine(Arc::new(restored.model));
-                spawn_streaming(engine, Some(restored.seed), config, &addr)
-            }
-            _ => spawn(restored.model, Some(restored.seed), config, &addr),
+        if want_static {
+            restored.stream = None;
+        } else if let Some(stream) = &restored.stream {
+            eprintln!(
+                "streaming restored at epoch {} ({} compactions)",
+                stream.epoch, stream.compactions
+            );
         }
+        ReplayWorld::from_restored(restored)
     } else {
         let algo = args.get("algo").unwrap_or("g-global");
         let solver = SolverSpec::by_name(algo)
@@ -265,15 +243,8 @@ fn main() {
             solver,
             shards,
         };
-        let config = ServeConfig {
-            host,
-            batch,
-            ingest_queue,
-            wal: wal.clone(),
-            replication: replication.clone(),
-        };
         if want_static {
-            spawn(model, None, config, &addr)
+            ReplayWorld::new_static(model, host, None)
         } else {
             let engine = StreamEngine::from_model(
                 Arc::new(model),
@@ -281,11 +252,18 @@ fn main() {
                 city.trajectories,
                 lambda,
             );
-            spawn_streaming(engine, None, config, &addr)
+            ReplayWorld::new_streaming(engine, host, None)
         }
     };
+    let config = ServeConfig {
+        batch,
+        ingest_queue,
+        wal,
+        replication,
+        ..ServeConfig::default()
+    };
 
-    let handle = handle.unwrap_or_else(|e| {
+    let handle = spawn_world(world, config, &addr).unwrap_or_else(|e| {
         eprintln!("cannot bind {addr}: {e}");
         exit(1);
     });

@@ -1,8 +1,9 @@
-//! The host's world state behind the single-writer command loop.
+//! The market host the serving world steps through.
 //!
-//! The state machine itself lives in [`mroam_market::host`] so the WAL
-//! replay path (`mroam-wal`) steps through exactly the same transitions
-//! as the live server; this module re-exports it under the historical
-//! serving-layer path.
+//! The day transition lives in [`mroam_market::host`] and the world that
+//! carries it between records in `mroam_wal::ReplayWorld`, which the
+//! command loop, recovery and followers all apply records through; this
+//! module re-exports the host types under the historical serving-layer
+//! path.
 
 pub use mroam_market::host::{Host, HostConfig, HostSeed};

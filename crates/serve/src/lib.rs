@@ -14,7 +14,8 @@
 //! * [`protocol`] — the JSON request/response grammar;
 //! * [`batch`] — adaptive (EWMA-of-solve-time) request batching;
 //! * [`histogram`] — HDR-style log-bucket latency histogram;
-//! * [`host`] — the single-writer world state (sim + ledger + solver);
+//! * [`host`] — the market day transition (sim + ledger + solver) the
+//!   serving world steps through;
 //! * [`snapshot`] — full-state snapshot encode/decode;
 //! * [`server`] — the TCP serving loop;
 //! * [`client`] — a minimal blocking client.

@@ -54,8 +54,8 @@ pub enum Request {
     /// One epoch of streaming input (new trajectories + inventory
     /// events), applied behind the bounded pending-delta queue.
     Ingest { id: u64, batch: IngestBatch },
-    /// Fold the delta overlay into a fresh base model and re-seed the
-    /// host against it.
+    /// Fold the delta overlay into a fresh base model; later days solve
+    /// against it.
     Compact { id: u64 },
     /// Streaming epoch counters and overlay occupancy.
     EpochStats { id: u64 },
@@ -349,6 +349,22 @@ pub enum Response {
 }
 
 impl Response {
+    /// The `query_coverage` answer for a world's
+    /// `(influence, free_total)`, or the range error when it has none.
+    pub fn coverage(id: u64, answer: Option<(u64, usize)>) -> Response {
+        match answer {
+            Some((influence, free_total)) => Response::Coverage {
+                id,
+                influence,
+                free_total,
+            },
+            None => Response::Error {
+                id,
+                message: "billboard id out of range".into(),
+            },
+        }
+    }
+
     /// Encodes the response as its wire JSON.
     pub fn encode(&self) -> String {
         match self {

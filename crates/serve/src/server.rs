@@ -4,7 +4,7 @@
 //!
 //! ```text
 //!   acceptor ──spawns──▶ per-connection reader ──Incoming──▶ command loop
-//!                        per-connection writer ◀──String────┘   (owns Host)
+//!                        per-connection writer ◀──String────┘ (owns the world)
 //! ```
 //!
 //! * The **acceptor** polls a non-blocking listener and spawns a reader
@@ -14,7 +14,7 @@
 //!   into the command loop. Malformed frames are answered directly with
 //!   an `error` response and do not reach the loop.
 //! * The **command loop** is the *single writer*: it owns the
-//!   [`Host`] outright (no locks), batches `submit` requests under the
+//!   serving world outright (no locks), batches `submit` requests under the
 //!   [`Batcher`]'s adaptive policy, and answers everything else
 //!   immediately. Its mpsc receive timeout is the batch deadline, so a
 //!   lull in traffic closes the open batch on time.
@@ -23,30 +23,35 @@
 //!   response), then acknowledges, then stops the acceptor and unblocks
 //!   any parked readers by shutting their sockets down.
 //!
-//! **Streaming epochs** ([`spawn_streaming`]): the loop owns a
-//! [`StreamEngine`] instead of a bare model and runs one host per
-//! *serving epoch* — the host borrows the engine's compacted base, so
-//! allocation always sees a consistent model while ingestion lands in
-//! the overlay. `ingest` requests apply immediately at a batch boundary;
-//! while a solve batch is open they park in a bounded pending-delta
-//! queue (backpressure: a full queue answers `error` instead of growing
-//! without bound) and drain when the batch closes. A compaction —
-//! explicit `compact` request or the engine's policy firing at a batch
-//! boundary — folds the overlay into a fresh base and *re-seeds* the
-//! host against it: day clock, locks (resized for added inventory), and
-//! ledger carry over, exactly like a snapshot resume.
+//! **One state machine**: the loop keeps no serving state of its own.
+//! It owns a [`ReplayWorld`] — the same type crash recovery and
+//! followers replay into — and every mutation goes the same way: build
+//! the [`WalRecord`], log it when a WAL is configured (durable per
+//! policy before anything applies), [`ReplayWorld::apply`] it, and reply
+//! from the returned [`Applied`] effects. A served day, an ingest and a
+//! compaction are therefore the very transitions replay performs.
+//!
+//! **Streaming** ([`spawn_streaming`]): the world holds a
+//! [`StreamEngine`]; days solve against its compacted base while
+//! ingestion lands in the overlay. `ingest` requests apply immediately at
+//! a batch boundary; while a solve batch is open they park in a bounded
+//! pending-delta queue (backpressure: a full queue answers `error`
+//! instead of growing without bound) and drain when the batch closes. A
+//! compaction — explicit `compact` request or the engine's policy firing
+//! at a batch boundary — is one more record: the world folds the overlay
+//! into a fresh base and grows its carried locks to the new inventory.
 
 use crate::batch::{BatchPolicy, Batcher, CloseReason};
 use crate::feed::{self, FeedHandle, FeedStats, ReplicationConfig};
 use crate::frame::{read_frame, write_frame};
 use crate::histogram::LogHistogram;
-use crate::host::{Host, HostConfig, HostSeed};
+use crate::host::{HostConfig, HostSeed};
 use crate::protocol::{Request, Response, StatsReport};
 use crate::snapshot;
 use mroam_influence::CoverageModel;
 use mroam_market::{DayRecord, Proposal};
-use mroam_stream::{IngestBatch, StreamEngine};
-use mroam_wal::{SharedWal, WalOptions, WalRecord};
+use mroam_stream::{CompactionReport, IngestBatch, StreamEngine};
+use mroam_wal::{Applied, ReplayWorld, SharedWal, WalOptions, WalRecord};
 use std::collections::VecDeque;
 use std::io;
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
@@ -86,7 +91,8 @@ impl WalConfig {
 /// Full server configuration.
 #[derive(Debug, Clone)]
 pub struct ServeConfig {
-    /// Host configuration (γ + solver).
+    /// Host configuration (γ + solver) for [`spawn`] and
+    /// [`spawn_streaming`]; [`spawn_world`] keeps the world's own.
     pub host: HostConfig,
     /// Batching policy.
     pub batch: BatchPolicy,
@@ -108,37 +114,6 @@ impl Default for ServeConfig {
             ingest_queue: 16,
             wal: None,
             replication: None,
-        }
-    }
-}
-
-/// What the command loop serves: a fixed model, or a live streaming
-/// engine whose compacted base the current host borrows.
-enum World {
-    Static(Arc<CoverageModel>),
-    Streaming(Box<StreamEngine>),
-}
-
-impl World {
-    fn engine(&self) -> Option<&StreamEngine> {
-        match self {
-            World::Static(_) => None,
-            World::Streaming(e) => Some(e),
-        }
-    }
-
-    fn engine_mut(&mut self) -> Option<&mut StreamEngine> {
-        match self {
-            World::Static(_) => None,
-            World::Streaming(e) => Some(e),
-        }
-    }
-
-    /// The model the *next* host should borrow.
-    fn serving_model(&self) -> Arc<CoverageModel> {
-        match self {
-            World::Static(m) => Arc::clone(m),
-            World::Streaming(e) => Arc::clone(e.model()),
         }
     }
 }
@@ -224,7 +199,8 @@ pub fn spawn(
     config: ServeConfig,
     addr: &str,
 ) -> io::Result<ServerHandle> {
-    spawn_world(World::Static(Arc::new(model)), resume, config, addr)
+    let world = ReplayWorld::new_static(model, config.host.clone(), resume);
+    spawn_world(world, config, addr)
 }
 
 /// Binds `addr` and starts serving a live [`StreamEngine`]: allocation
@@ -237,12 +213,15 @@ pub fn spawn_streaming(
     config: ServeConfig,
     addr: &str,
 ) -> io::Result<ServerHandle> {
-    spawn_world(World::Streaming(Box::new(engine)), resume, config, addr)
+    let world = ReplayWorld::new_streaming(engine, config.host.clone(), resume);
+    spawn_world(world, config, addr)
 }
 
-fn spawn_world(
-    world: World,
-    resume: Option<HostSeed>,
+/// Binds `addr` and serves an already-built world, e.g. the one
+/// [`mroam_wal::recover`] returns. `config.host` is not consulted: the
+/// world carries the host configuration it was built or logged with.
+pub fn spawn_world(
+    world: ReplayWorld,
     config: ServeConfig,
     addr: &str,
 ) -> io::Result<ServerHandle> {
@@ -263,7 +242,7 @@ fn spawn_world(
     // replication feed can share the same `SharedWal` handle; a log
     // that cannot open fails the spawn instead of a later panic.
     let wal = match config.wal.as_ref() {
-        Some(wc) => Some(open_wal(wc).map_err(io::Error::other)?),
+        Some(wc) => Some(open_wal(wc, &world)?),
         None => None,
     };
     let feed = match (&config.replication, &wal) {
@@ -285,7 +264,7 @@ fn spawn_world(
 
     let command = {
         let stopping = Arc::clone(&stopping);
-        thread::spawn(move || command_loop(world, resume, config, rx, stopping, wal, feed_stats))
+        thread::spawn(move || command_loop(world, config, rx, stopping, wal, feed_stats))
     };
 
     let acceptor = {
@@ -420,44 +399,64 @@ struct WalState {
     snapshot_every: u32,
     /// Days served since the last snapshot.
     days_since_snapshot: u32,
-    /// No snapshot exists yet; write the genesis snapshot (watermark =
-    /// current log head) as soon as the first host is constructed.
-    genesis_needed: bool,
     /// Watermark of the newest durable snapshot.
     last_snapshot_seq: u64,
 }
 
-fn open_wal(wc: &WalConfig) -> Result<WalState, mroam_wal::WalError> {
-    let shared = Arc::new(SharedWal::open(&wc.dir, wc.options.clone())?);
-    let snaps = snapshot::list_snapshots(&wc.dir)
-        .map_err(|e| mroam_wal::WalError::Io(io::Error::other(e.to_string())))?;
-    let last = snaps.last().map(|(seq, _)| *seq);
+/// Opens the log. A fresh WAL directory gets a genesis snapshot of
+/// `world` so recovery always has a base state; its watermark is the
+/// current log head (0 on a brand-new log).
+fn open_wal(wc: &WalConfig, world: &ReplayWorld) -> io::Result<WalState> {
+    let shared = Arc::new(SharedWal::open(&wc.dir, wc.options.clone()).map_err(io::Error::other)?);
+    let snaps = snapshot::list_snapshots(&wc.dir).map_err(io::Error::other)?;
+    let last_snapshot_seq = match snaps.last() {
+        Some((seq, _)) => *seq,
+        None => {
+            let watermark = shared.next_seq() - 1;
+            snapshot::write_snapshot_file(&wc.dir, watermark, &world.snapshot())
+                .map_err(io::Error::other)?;
+            watermark
+        }
+    };
     Ok(WalState {
         shared,
         dir: wc.dir.clone(),
         snapshot_every: wc.snapshot_every.max(1),
         days_since_snapshot: 0,
-        genesis_needed: last.is_none(),
-        last_snapshot_seq: last.unwrap_or(0),
+        last_snapshot_seq,
     })
 }
 
 impl WalState {
     /// Logs one record and makes it as durable as the sync policy
     /// promises, *before* the caller applies the mutation.
-    fn log(&mut self, record: &WalRecord) {
-        self.shared.append(record).expect("wal: append failed");
+    /// Returns the record's seq.
+    fn log(&mut self, record: &WalRecord) -> u64 {
+        let seq = self.shared.append(record).expect("wal: append failed");
         self.shared
             .batch_boundary()
             .expect("wal: sync failed at batch boundary");
+        seq
     }
+}
+
+/// Logs `record` when a WAL is configured; returns its seq (0 unlogged).
+fn log(wal: &mut Option<WalState>, record: &WalRecord) -> u64 {
+    wal.as_mut().map_or(0, |w| w.log(record))
+}
+
+/// Applies a logged record to the world: the leader's only mutation.
+fn apply(world: &mut ReplayWorld, seq: u64, record: &WalRecord) -> Applied {
+    world
+        .apply(seq, record)
+        .expect("the leader builds records at its world's own day and epoch")
 }
 
 /// Writes a durable snapshot at the current log head if one is due,
 /// then prunes segments and snapshots recovery can no longer reach.
 /// Retention keeps the new snapshot *and* the previous one (with its
 /// full replay suffix), so recovery survives a torn newest snapshot.
-fn maybe_snapshot(wal: &mut Option<WalState>, host: &Host<'_>, world: &World) {
+fn maybe_snapshot(wal: &mut Option<WalState>, world: &ReplayWorld) {
     let Some(w) = wal.as_mut() else { return };
     if w.days_since_snapshot < w.snapshot_every {
         return;
@@ -466,12 +465,12 @@ fn maybe_snapshot(wal: &mut Option<WalState>, host: &Host<'_>, world: &World) {
     // snapshot claims to cover it.
     w.shared.sync().expect("wal: sync before snapshot");
     let watermark = w.shared.next_seq() - 1;
-    snapshot::write_snapshot_file(&w.dir, watermark, &snapshot::encode(host, world.engine()))
+    snapshot::write_snapshot_file(&w.dir, watermark, &world.snapshot())
         .expect("wal: snapshot write failed");
     w.log(&WalRecord::SnapshotMark {
         wal_seq: watermark,
-        day: host.day(),
-        epoch: world.engine().map_or(0, |e| e.epoch()),
+        day: world.day(),
+        epoch: world.epoch(),
     });
     let floor = w.last_snapshot_seq;
     w.last_snapshot_seq = watermark;
@@ -494,8 +493,7 @@ fn prune_snapshots(dir: &Path, keep_from: u64) {
 }
 
 fn command_loop(
-    mut world: World,
-    resume: Option<HostSeed>,
+    mut world: ReplayWorld,
     config: ServeConfig,
     rx: Receiver<Incoming>,
     stopping: Arc<AtomicBool>,
@@ -507,255 +505,161 @@ fn command_loop(
     let mut batcher: Batcher<PendingSubmit> = Batcher::new(config.batch);
     let mut stats = ServerStats::default();
     let mut pending_ingest: VecDeque<PendingIngest> = VecDeque::new();
-    let mut seed = resume;
-    let mut running = true;
 
-    // One outer iteration per serving epoch: the host borrows the
-    // world's current base model; a compaction re-bases the world, so we
-    // break inward, carry the host state out as a seed (locks resized
-    // for any added inventory), and re-enter against the fresh base.
-    while running {
-        let model = world.serving_model();
-        let mut host = match seed.take() {
-            Some(s) => Host::resume(&model, config.host.clone(), s),
-            None => Host::new(&model, config.host.clone()),
-        };
-        let mut rebase = false;
-        if let Some(w) = wal.as_mut() {
-            // A fresh WAL directory gets a genesis snapshot so recovery
-            // always has a base state; its watermark is the current log
-            // head (0 on a brand-new log).
-            if w.genesis_needed {
-                let watermark = w.shared.next_seq() - 1;
-                snapshot::write_snapshot_file(
-                    &w.dir,
-                    watermark,
-                    &snapshot::encode(&host, world.engine()),
-                )
-                .expect("wal: genesis snapshot failed");
-                w.last_snapshot_seq = watermark;
-                w.genesis_needed = false;
-            }
-        }
-
-        while !rebase {
-            let msg = match batcher.deadline_nanos() {
-                Some(deadline) => {
-                    let now = now_nanos();
-                    if now >= deadline {
-                        Err(RecvTimeoutError::Timeout)
-                    } else {
-                        rx.recv_timeout(Duration::from_nanos(deadline - now))
-                    }
+    loop {
+        let msg = match batcher.deadline_nanos() {
+            Some(deadline) => {
+                let now = now_nanos();
+                if now >= deadline {
+                    Err(RecvTimeoutError::Timeout)
+                } else {
+                    rx.recv_timeout(Duration::from_nanos(deadline - now))
                 }
-                None => rx.recv().map_err(|_| RecvTimeoutError::Disconnected),
-            };
-            match msg {
-                Ok(incoming) => {
-                    stats.requests += 1;
-                    let Incoming {
-                        req,
+            }
+            None => rx.recv().map_err(|_| RecvTimeoutError::Disconnected),
+        };
+        let Incoming {
+            req,
+            reply,
+            received,
+        } = match msg {
+            Ok(incoming) => incoming,
+            Err(RecvTimeoutError::Timeout) => {
+                // Batch window elapsed.
+                if !batcher.is_empty() {
+                    solve_batch(&mut world, &mut batcher, &mut stats, &mut wal);
+                }
+                after_batch(&mut world, &mut pending_ingest, &mut wal);
+                maybe_snapshot(&mut wal, &world);
+                continue;
+            }
+            Err(RecvTimeoutError::Disconnected) => break,
+        };
+        stats.requests += 1;
+        match req {
+            Request::Submit { id, proposal } => {
+                stats.submits += 1;
+                let close = batcher.push(
+                    PendingSubmit {
+                        id,
+                        proposal,
                         reply,
                         received,
-                    } = incoming;
-                    match req {
-                        Request::Submit { id, proposal } => {
-                            stats.submits += 1;
-                            let close = batcher.push(
-                                PendingSubmit {
-                                    id,
-                                    proposal,
-                                    reply,
-                                    received,
-                                },
-                                now_nanos(),
-                            );
-                            if close == Some(CloseReason::SizeCap) {
-                                solve_batch(&mut host, &mut batcher, &mut stats, &mut wal);
-                                rebase = after_batch(&mut world, &mut pending_ingest, &mut wal);
-                                if !rebase {
-                                    maybe_snapshot(&mut wal, &host, &world);
-                                }
-                            }
-                        }
-                        Request::RunDay { id } => {
-                            let (record, batch_size) =
-                                solve_batch(&mut host, &mut batcher, &mut stats, &mut wal);
-                            send(
-                                &reply,
-                                Response::DayClosed {
-                                    id,
-                                    batch_size,
-                                    record,
-                                },
-                            );
-                            rebase = after_batch(&mut world, &mut pending_ingest, &mut wal);
-                            if !rebase {
-                                maybe_snapshot(&mut wal, &host, &world);
-                            }
-                        }
-                        Request::QueryCoverage { id, billboards } => {
-                            // Streaming hosts answer from the merged
-                            // base+overlay view — the freshest epoch —
-                            // while `free_total` stays the allocation
-                            // inventory of the serving base.
-                            let response = match world.engine() {
-                                Some(engine) => {
-                                    if billboards
-                                        .iter()
-                                        .any(|&b| b as usize >= engine.n_billboards())
-                                    {
-                                        Response::Error {
-                                            id,
-                                            message: "billboard id out of range".into(),
-                                        }
-                                    } else {
-                                        Response::Coverage {
-                                            id,
-                                            influence: engine.set_influence(&billboards),
-                                            free_total: host.free_count(),
-                                        }
-                                    }
-                                }
-                                None => match host.query_coverage(&billboards) {
-                                    Some(influence) => Response::Coverage {
-                                        id,
-                                        influence,
-                                        free_total: host.free_count(),
-                                    },
-                                    None => Response::Error {
-                                        id,
-                                        message: "billboard id out of range".into(),
-                                    },
-                                },
-                            };
-                            send(&reply, response);
-                        }
-                        Request::Stats { id } => {
-                            let report = stats_report(
-                                &stats,
-                                &host,
-                                &batcher,
-                                started,
-                                &world,
-                                pending_ingest.len(),
-                                wal.as_ref(),
-                                feed_stats.as_ref(),
-                            );
-                            send(
-                                &reply,
-                                Response::Stats {
-                                    id,
-                                    stats: Box::new(report),
-                                },
-                            );
-                        }
-                        Request::Snapshot { id } => {
-                            send(
-                                &reply,
-                                Response::Snapshot {
-                                    id,
-                                    state_json: snapshot::encode(&host, world.engine()),
-                                },
-                            );
-                        }
-                        Request::Ingest { id, batch } => {
-                            if world.engine().is_none() {
-                                send(&reply, streaming_disabled(id));
-                            } else if batcher.is_empty() {
-                                // Batch boundary: land the delta now,
-                                // compacting (and re-basing) if the
-                                // policy fires.
-                                pending_ingest.push_back(PendingIngest { id, batch, reply });
-                                rebase = after_batch(&mut world, &mut pending_ingest, &mut wal);
-                            } else if pending_ingest.len() >= config.ingest_queue {
-                                send(
-                                    &reply,
-                                    Response::Error {
-                                        id,
-                                        message: format!(
-                                            "ingest queue full ({} pending)",
-                                            pending_ingest.len()
-                                        ),
-                                    },
-                                );
-                            } else {
-                                pending_ingest.push_back(PendingIngest { id, batch, reply });
-                            }
-                        }
-                        Request::Compact { id } => {
-                            if world.engine().is_none() {
-                                send(&reply, streaming_disabled(id));
-                            } else {
-                                // A compaction is a batch boundary by
-                                // definition: close the open batch (its
-                                // submits keep their allocations), land
-                                // queued deltas, then fold.
-                                if !batcher.is_empty() {
-                                    solve_batch(&mut host, &mut batcher, &mut stats, &mut wal);
-                                }
-                                let engine = world.engine_mut().expect("checked streaming");
-                                for p in pending_ingest.drain(..) {
-                                    apply_ingest(engine, p.id, &p.batch, &p.reply, &mut wal);
-                                }
-                                if let Some(w) = wal.as_mut() {
-                                    w.log(&WalRecord::Compact {
-                                        epoch: engine.epoch(),
-                                    });
-                                }
-                                let report = engine.compact();
-                                send(&reply, Response::Compacted { id, report });
-                                rebase = true;
-                            }
-                        }
-                        Request::EpochStats { id } => {
-                            let response = match world.engine() {
-                                Some(engine) => Response::EpochStats {
-                                    id,
-                                    stats: engine.epoch_stats(),
-                                },
-                                None => streaming_disabled(id),
-                            };
-                            send(&reply, response);
-                        }
-                        Request::Shutdown { id } => {
-                            // Drain the in-flight batch first: every
-                            // queued submit still gets its allocation,
-                            // and every parked ingest its epoch.
-                            if !batcher.is_empty() {
-                                solve_batch(&mut host, &mut batcher, &mut stats, &mut wal);
-                            }
-                            if let Some(engine) = world.engine_mut() {
-                                for p in pending_ingest.drain(..) {
-                                    apply_ingest(engine, p.id, &p.batch, &p.reply, &mut wal);
-                                }
-                            }
-                            send(&reply, Response::Bye { id });
-                            running = false;
-                            rebase = true;
-                        }
-                    }
-                }
-                Err(RecvTimeoutError::Timeout) => {
-                    // Batch window elapsed.
-                    if !batcher.is_empty() {
-                        solve_batch(&mut host, &mut batcher, &mut stats, &mut wal);
-                    }
-                    rebase = after_batch(&mut world, &mut pending_ingest, &mut wal);
-                    if !rebase {
-                        maybe_snapshot(&mut wal, &host, &world);
-                    }
-                }
-                Err(RecvTimeoutError::Disconnected) => {
-                    running = false;
-                    rebase = true;
+                    },
+                    now_nanos(),
+                );
+                if close == Some(CloseReason::SizeCap) {
+                    solve_batch(&mut world, &mut batcher, &mut stats, &mut wal);
+                    after_batch(&mut world, &mut pending_ingest, &mut wal);
+                    maybe_snapshot(&mut wal, &world);
                 }
             }
-        }
-        if running {
-            let mut carried = host.seed();
-            carried.lock = carried.lock.resized(world.serving_model().n_billboards());
-            seed = Some(carried);
+            Request::RunDay { id } => {
+                let (record, batch_size) =
+                    solve_batch(&mut world, &mut batcher, &mut stats, &mut wal);
+                send(
+                    &reply,
+                    Response::DayClosed {
+                        id,
+                        batch_size,
+                        record,
+                    },
+                );
+                after_batch(&mut world, &mut pending_ingest, &mut wal);
+                maybe_snapshot(&mut wal, &world);
+            }
+            Request::QueryCoverage { id, billboards } => {
+                send(
+                    &reply,
+                    Response::coverage(id, world.query_coverage(&billboards)),
+                );
+            }
+            Request::Stats { id } => {
+                let report = stats_report(
+                    &stats,
+                    &world,
+                    &batcher,
+                    started,
+                    pending_ingest.len(),
+                    wal.as_ref(),
+                    feed_stats.as_ref(),
+                );
+                send(
+                    &reply,
+                    Response::Stats {
+                        id,
+                        stats: Box::new(report),
+                    },
+                );
+            }
+            Request::Snapshot { id } => {
+                send(
+                    &reply,
+                    Response::Snapshot {
+                        id,
+                        state_json: world.snapshot(),
+                    },
+                );
+            }
+            Request::Ingest { id, batch } => {
+                if world.engine().is_none() {
+                    send(&reply, streaming_disabled(id));
+                } else if batcher.is_empty() {
+                    // Batch boundary: land the delta now, compacting if
+                    // the policy fires.
+                    pending_ingest.push_back(PendingIngest { id, batch, reply });
+                    after_batch(&mut world, &mut pending_ingest, &mut wal);
+                } else if pending_ingest.len() >= config.ingest_queue {
+                    send(
+                        &reply,
+                        Response::Error {
+                            id,
+                            message: format!(
+                                "ingest queue full ({} pending)",
+                                pending_ingest.len()
+                            ),
+                        },
+                    );
+                } else {
+                    pending_ingest.push_back(PendingIngest { id, batch, reply });
+                }
+            }
+            Request::Compact { id } => {
+                if world.engine().is_none() {
+                    send(&reply, streaming_disabled(id));
+                } else {
+                    // A compaction is a batch boundary by definition:
+                    // close the open batch (its submits keep their
+                    // allocations), land queued deltas, then fold.
+                    if !batcher.is_empty() {
+                        solve_batch(&mut world, &mut batcher, &mut stats, &mut wal);
+                    }
+                    land_ingests(&mut world, &mut pending_ingest, &mut wal);
+                    let report = compact(&mut world, &mut wal);
+                    send(&reply, Response::Compacted { id, report });
+                }
+            }
+            Request::EpochStats { id } => {
+                let response = match world.engine() {
+                    Some(engine) => Response::EpochStats {
+                        id,
+                        stats: engine.epoch_stats(),
+                    },
+                    None => streaming_disabled(id),
+                };
+                send(&reply, response);
+            }
+            Request::Shutdown { id } => {
+                // Drain the in-flight batch first: every queued submit
+                // still gets its allocation, and every parked ingest its
+                // epoch.
+                if !batcher.is_empty() {
+                    solve_batch(&mut world, &mut batcher, &mut stats, &mut wal);
+                }
+                land_ingests(&mut world, &mut pending_ingest, &mut wal);
+                send(&reply, Response::Bye { id });
+                break;
+            }
         }
     }
     // Make every acknowledged record durable before the process exits,
@@ -766,60 +670,58 @@ fn command_loop(
     stopping.store(true, Ordering::SeqCst);
 }
 
-/// Runs the streaming work owed at a batch boundary: applies every
-/// parked ingest (answering each), then compacts if the engine's policy
-/// fires. Returns whether the base changed, i.e. whether the caller must
-/// re-seed the host against the new epoch.
+/// Runs the streaming work owed at a batch boundary: lands every parked
+/// ingest, then compacts if the engine's policy fires. Compactions are
+/// logged explicitly so replay never consults the (possibly retuned)
+/// policy.
 fn after_batch(
-    world: &mut World,
+    world: &mut ReplayWorld,
     pending: &mut VecDeque<PendingIngest>,
     wal: &mut Option<WalState>,
-) -> bool {
-    let Some(engine) = world.engine_mut() else {
-        return false;
-    };
-    for p in pending.drain(..) {
-        apply_ingest(engine, p.id, &p.batch, &p.reply, wal);
-    }
-    if engine.needs_compaction() {
-        // Compactions are logged explicitly so replay never consults
-        // the (possibly retuned) compaction policy.
-        if let Some(w) = wal.as_mut() {
-            w.log(&WalRecord::Compact {
-                epoch: engine.epoch(),
-            });
-        }
-        engine.compact();
-        true
-    } else {
-        false
+) {
+    land_ingests(world, pending, wal);
+    if world.engine().is_some_and(StreamEngine::needs_compaction) {
+        compact(world, wal);
     }
 }
 
-/// Applies one ingest batch and answers its client. The record is
-/// logged first even when the engine rejects it — replay re-applies the
-/// same batch to the same engine state and deterministically re-rejects.
-fn apply_ingest(
-    engine: &mut StreamEngine,
-    id: u64,
-    batch: &IngestBatch,
-    reply: &Sender<String>,
+/// Applies every parked ingest batch in arrival order and answers each
+/// client. A batch the engine rejects is logged all the same — replay
+/// re-applies it to the same engine state and deterministically
+/// re-rejects.
+fn land_ingests(
+    world: &mut ReplayWorld,
+    pending: &mut VecDeque<PendingIngest>,
     wal: &mut Option<WalState>,
 ) {
-    if let Some(w) = wal.as_mut() {
-        w.log(&WalRecord::Ingest {
-            epoch: engine.epoch(),
-            batch: batch.clone(),
-        });
+    for PendingIngest { id, batch, reply } in pending.drain(..) {
+        let record = WalRecord::Ingest {
+            epoch: world.epoch(),
+            batch,
+        };
+        let Applied::Ingest(result) = apply(world, log(wal, &record), &record) else {
+            unreachable!("an ingest record applies as an ingest");
+        };
+        let response = match result {
+            Ok(report) => Response::Ingested { id, report },
+            Err(e) => Response::Error {
+                id,
+                message: e.to_string(),
+            },
+        };
+        send(&reply, response);
     }
-    let response = match engine.ingest(batch) {
-        Ok(report) => Response::Ingested { id, report },
-        Err(e) => Response::Error {
-            id,
-            message: e.to_string(),
-        },
+}
+
+/// Folds the overlay into a fresh base (streaming worlds only).
+fn compact(world: &mut ReplayWorld, wal: &mut Option<WalState>) -> CompactionReport {
+    let record = WalRecord::Compact {
+        epoch: world.epoch(),
     };
-    send(reply, response);
+    let Applied::Compact(report) = apply(world, log(wal, &record), &record) else {
+        unreachable!("a compact record applies as a compaction");
+    };
+    report
 }
 
 fn streaming_disabled(id: u64) -> Response {
@@ -833,25 +735,27 @@ fn streaming_disabled(id: u64) -> Response {
 /// and answers every queued submit. Returns the day record and batch
 /// size.
 fn solve_batch(
-    host: &mut Host<'_>,
+    world: &mut ReplayWorld,
     batcher: &mut Batcher<PendingSubmit>,
     stats: &mut ServerStats,
     wal: &mut Option<WalState>,
 ) -> (DayRecord, usize) {
     let pending = batcher.take();
-    let day = host.day();
-    let proposals: Vec<Proposal> = pending.iter().map(|p| p.proposal).collect();
+    let day = world.day();
+    let record = WalRecord::RunDay {
+        day,
+        proposals: pending.iter().map(|p| p.proposal).collect(),
+    };
+    // Log-before-apply: the day's full proposal batch is durable before
+    // any allocation response leaves the loop.
+    let seq = log(wal, &record);
     if let Some(w) = wal.as_mut() {
-        // Log-before-apply: the day's full proposal batch is durable
-        // before any allocation response leaves the loop.
-        w.log(&WalRecord::RunDay {
-            day,
-            proposals: proposals.clone(),
-        });
         w.days_since_snapshot += 1;
     }
     let solve_started = Instant::now();
-    let outcome = host.run_day(&proposals);
+    let Applied::Day(outcome) = apply(world, seq, &record) else {
+        unreachable!("a day record applies as a day");
+    };
     let solve_elapsed = solve_started.elapsed();
     batcher.observe_solve(solve_elapsed.as_nanos() as u64);
     stats.batches += 1;
@@ -859,6 +763,7 @@ fn solve_batch(
     stats.max_batch = stats.max_batch.max(pending.len());
     stats.solve.record(solve_elapsed.as_micros() as u64);
     debug_assert_eq!(outcome.outcomes.len(), pending.len());
+    let batch_size = pending.len();
     for (submit, result) in pending.into_iter().zip(outcome.outcomes) {
         let wait_micros = solve_started
             .saturating_duration_since(submit.received)
@@ -876,16 +781,14 @@ fn solve_batch(
             },
         );
     }
-    (outcome.record, proposals.len())
+    (outcome.record, batch_size)
 }
 
-#[allow(clippy::too_many_arguments)]
 fn stats_report(
     stats: &ServerStats,
-    host: &Host<'_>,
+    world: &ReplayWorld,
     batcher: &Batcher<PendingSubmit>,
     started: Instant,
-    world: &World,
     ingest_pending: usize,
     wal: Option<&WalState>,
     feed: Option<&Arc<Mutex<FeedStats>>>,
@@ -935,13 +838,13 @@ fn stats_report(
         latency: stats.latency.percentiles(),
         solve: stats.solve.percentiles(),
         queue_depth: batcher.len(),
-        day: u64::from(host.day()),
-        locked: host.locked_count(),
-        free: host.free_count(),
-        collected: host.ledger().total_collected(),
-        regret: host.ledger().total_regret(),
+        day: u64::from(world.day()),
+        locked: world.lock().locked_count(),
+        free: world.free_count(),
+        collected: world.ledger().total_collected(),
+        regret: world.ledger().total_regret(),
         batch_window_micros: batcher.window_nanos() / 1_000,
-        snapshot_epoch: world.engine().map_or(0, |e| e.epoch()),
+        snapshot_epoch: world.epoch(),
         ingest_pending: ingest_pending as u64,
         wal_segments: ws.segments as u64,
         wal_records: ws.records_appended,
@@ -963,16 +866,16 @@ fn stats_report(
         repl_snapshots_received: 0,
         repl_catch_up_micros: 0,
         repl_leader_durable: 0,
-        shards: host
+        shards: world
             .config()
             .shards
             .as_ref()
             .map_or(0, |s| s.n_shards as u64),
-        boundary_advertisers: host
+        boundary_advertisers: world
             .shard_report()
             .map_or(0, |r| r.boundary_advertisers as u64),
-        reconcile_added: host.shard_report().map_or(0, |r| r.reconcile_added as u64),
-        shard_stats: host.shard_report().map_or_else(Vec::new, |r| {
+        reconcile_added: world.shard_report().map_or(0, |r| r.reconcile_added as u64),
+        shard_stats: world.shard_report().map_or_else(Vec::new, |r| {
             r.per_shard
                 .iter()
                 .map(|s| crate::protocol::ShardRow {

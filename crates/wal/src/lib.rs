@@ -1,19 +1,20 @@
 //! `mroam-wal` — durability for the MROAM serving layer.
 //!
-//! The serve loop (`mroam-served`) mutates exactly three things: the
-//! stream engine (ingest + compaction), the market host (day runs), and
-//! the snapshot watermark. This crate makes those mutations durable
-//! with a classic write-ahead log:
+//! The serving world — stream engine (ingest + compaction), market host
+//! state (day runs) — has one state machine, [`ReplayWorld`], and it
+//! lives here: the serve command loop (`mroam-served`), crash recovery
+//! and followers all mutate it only through [`ReplayWorld::apply`].
+//! This crate makes those mutations durable with a classic write-ahead
+//! log:
 //!
 //! 1. **Log before apply.** Every mutation is encoded as a
 //!    [`WalRecord`], appended to a segmented CRC32-framed log
 //!    ([`WalWriter`]), and fsynced per [`SyncPolicy`] *before* the
-//!    in-memory state changes.
+//!    leader applies it.
 //! 2. **Snapshot + suffix replay.** Recovery ([`recover`]) restores the
-//!    newest valid checksummed snapshot ([`state`]) and replays the WAL
-//!    suffix past its watermark through the *same* state machine the
-//!    live server uses ([`replay`], driving [`mroam_market::Host`] and
-//!    [`mroam_stream::StreamEngine`]) — so a recovered server is
+//!    newest valid checksummed snapshot ([`state`]) and applies the WAL
+//!    suffix past its watermark through the same [`ReplayWorld::apply`]
+//!    the leader used ([`replay`]) — so a recovered server is
 //!    bit-identical to one that never crashed.
 //! 3. **Torn tails truncate cleanly.** A crash mid-append leaves a
 //!    partial frame; the CRC/seq checks stop the scan there and the
@@ -42,7 +43,7 @@ pub use log::{
 };
 pub use record::{RecordError, WalRecord};
 pub use recover::{recover, RecoverError, RecoveryReport};
-pub use replay::{ReplayError, ReplayWorld, ReplayedState};
+pub use replay::{Applied, ReplayError, ReplayWorld};
 pub use ship::{read_msg, verify_frame, write_msg, ShipMsg};
 pub use state::{
     snapshot_file_name, Restored, SnapshotCorruption, SnapshotError, StreamRestore,

@@ -13,11 +13,11 @@
 //! 2. **Replay the suffix.** Scan the log ([`WalReader`] validates
 //!    checksums, seq contiguity, and truncates a torn tail in the final
 //!    segment), then apply every record with `seq > watermark` through
-//!    [`ReplayWorld`] — the same state machine the live server runs.
-//! 3. **Resume.** The caller turns the world into a serving host via
-//!    [`ReplayWorld::into_parts`]; a [`crate::WalWriter`] opened on the
-//!    same directory truncates the torn tail and continues at
-//!    `last_seq + 1`.
+//!    [`ReplayWorld::apply`] — the method the leader applied them with.
+//! 3. **Resume.** The caller serves the recovered world as is
+//!    (`mroam-served` hands it to the server whole); a
+//!    [`crate::WalWriter`] opened on the same directory truncates the
+//!    torn tail and continues at `last_seq + 1`.
 //!
 //! Anything that makes history ambiguous — corruption *before* the tail,
 //! no decodable snapshot, a record the world rejects — is a typed error,

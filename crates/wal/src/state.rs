@@ -272,13 +272,22 @@ impl StreamRestore {
 /// Encodes a host's full state as one JSON document; `stream` adds the
 /// engine's overlay + epoch counters when the server is streaming.
 pub fn encode(host: &Host<'_>, stream: Option<&StreamEngine>) -> String {
-    let model = host.model();
-    let seed = host.seed();
-    let spec = &host.config().solver;
+    encode_state(host.model(), host.config(), host.seed(), stream)
+}
+
+/// [`encode`] from a world's parts: the model days are solved against,
+/// the host configuration, and the carried seed.
+pub fn encode_state(
+    model: &CoverageModel,
+    config: &HostConfig,
+    seed: HostSeed,
+    stream: Option<&StreamEngine>,
+) -> String {
+    let spec = &config.solver;
     let doc = SnapshotDoc {
         version: SNAPSHOT_VERSION,
         day: seed.day,
-        gamma: host.config().gamma,
+        gamma: config.gamma,
         solver: spec.name.to_string(),
         restarts: spec.restarts as u64,
         improvement_ratio: spec.improvement_ratio,
@@ -311,7 +320,7 @@ pub fn encode(host: &Host<'_>, stream: Option<&StreamEngine>) -> String {
                 new_billboards: engine.overlay().new_billboard_lists().to_vec(),
             }
         }),
-        shards: host.config().shards.as_ref().map(|spec| ShardsDoc {
+        shards: config.shards.as_ref().map(|spec| ShardsDoc {
             n_shards: spec.n_shards as u64,
             assignment: spec.assignment.as_ref().clone(),
         }),
